@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
+	"time"
+	"weak"
 
 	"repro/internal/ir"
 	"repro/internal/sim"
@@ -304,4 +307,35 @@ func TestRecorderTeesFailIndependently(t *testing.T) {
 	if err := r.Close(); err == nil {
 		t.Error("Close must report the latched tee error")
 	}
+}
+
+// TestDAGFingerprintMemoDiesWithDAG: the fingerprint memo keeps no DAG
+// alive, so fingerprinting a stream of short-lived DAGs (every
+// ApplyHistoryBest builds its task DAGs afresh) leaves it no larger
+// than before, while a live DAG stays memoized.
+func TestDAGFingerprintMemoDiesWithDAG(t *testing.T) {
+	memo := func() int {
+		n := 0
+		dagFPs.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	keep := matmulState(t).DAG
+	want := DAGFingerprint(keep)
+	before := memo()
+	for i := 0; i < 256; i++ {
+		if fp := DAGFingerprint(matmulState(t).DAG); fp != want {
+			t.Fatalf("equal DAGs fingerprint %s and %s", fp, want)
+		}
+	}
+	for try := 0; try < 200 && memo() > before; try++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := memo(); n > before {
+		t.Errorf("memo holds %d entries after 256 fingerprinted DAGs died, want <= %d", n, before)
+	}
+	if _, ok := dagFPs.Load(weak.Make(keep)); !ok {
+		t.Error("a live DAG's fingerprint was evicted from the memo")
+	}
+	runtime.KeepAlive(keep)
 }

@@ -7,8 +7,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
+	"weak"
 
 	"repro/internal/ir"
 	"repro/internal/te"
@@ -76,22 +78,27 @@ func NewRecord(task, target string, r Result) (Record, error) {
 	}, nil
 }
 
-// dagFPs memoizes fingerprints per DAG pointer: DAGs are immutable once
-// built, and the measurement hot path fingerprints the same task DAG
-// for every candidate.
-var dagFPs sync.Map // *te.DAG -> string
+// dagFPs memoizes fingerprints per DAG: DAGs are immutable once built,
+// and the measurement hot path fingerprints the same task DAG for every
+// candidate. Entries are keyed by weak pointer and deleted by a cleanup
+// once their DAG is collected, so short-lived DAGs (every
+// ApplyHistoryBest builds its tasks afresh) do not pin memory.
+var dagFPs sync.Map // weak.Pointer[te.DAG] -> string
 
 // DAGFingerprint canonically identifies a computation: a hash of the
 // DAG's rendered structure (nodes, loop extents, reads), so records of
 // different shapes sharing one task name never serve each other.
 func DAGFingerprint(d *te.DAG) string {
-	if fp, ok := dagFPs.Load(d); ok {
+	key := weak.Make(d)
+	if fp, ok := dagFPs.Load(key); ok {
 		return fp.(string)
 	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(d.String()))
 	fp := fmt.Sprintf("%016x", h.Sum64())
-	dagFPs.Store(d, fp)
+	if _, loaded := dagFPs.LoadOrStore(key, fp); !loaded {
+		runtime.AddCleanup(d, func(k weak.Pointer[te.DAG]) { dagFPs.Delete(k) }, key)
+	}
 	return fp
 }
 

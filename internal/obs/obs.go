@@ -75,6 +75,19 @@ func (o *Observer) Emit(e Event) {
 	o.Events.Emit(e)
 }
 
+// EmitSince is Emit for an event that closes a span begun at t0: the
+// one clock read that stamps the event also sets its DurMS, so timing
+// the span costs no read beyond Emit's own.
+func (o *Observer) EmitSince(e Event, t0 time.Time) {
+	if o == nil || o.Events == nil {
+		return
+	}
+	now := o.Now()
+	e.TS = now.UTC().Format(time.RFC3339Nano)
+	e.DurMS = now.Sub(t0).Seconds() * 1000
+	o.Emit(e)
+}
+
 // Observe records a duration (seconds) in the named histogram of the
 // observer's registry, creating it with DefBuckets on first use.
 func (o *Observer) Observe(name string, seconds float64) {

@@ -187,6 +187,7 @@ func TestNilObserverSafe(t *testing.T) {
 		t.Error("nil observer Now() not zero")
 	}
 	_ = o.SinceSeconds(time.Time{})
+	o.EmitSince(Event{Type: EvModelTrained}, time.Time{})
 	// Partly-nil observers are fine too.
 	New(nil, nil).Emit(Event{Type: EvPhase})
 	New(nil, NewRegistry()).Observe("x", 1)
@@ -240,5 +241,33 @@ func TestFakeClock(t *testing.T) {
 	c := FakeClock(time.Unix(0, 0), time.Second)
 	if !c().Equal(time.Unix(0, 0)) || !c().Equal(time.Unix(1, 0)) {
 		t.Error("fake clock did not step deterministically")
+	}
+}
+
+// TestEmitSince: the event's own timestamp read sets its duration, and
+// an observer without a sink reads no clock at all, so narrating a span
+// never shifts a fake clock's later readings.
+func TestEmitSince(t *testing.T) {
+	sink := &MemorySink{}
+	start := time.Unix(1700000000, 0)
+	o := &Observer{Events: sink, Clock: FakeClock(start, 3*time.Millisecond)}
+	t0 := o.Now()
+	o.EmitSince(Event{Type: EvModelTrained, Detail: "refit"}, t0)
+	evs := sink.Events()
+	if len(evs) != 1 {
+		t.Fatalf("got %d events, want 1", len(evs))
+	}
+	if e := evs[0]; e.DurMS != 3 || e.TS != start.Add(3*time.Millisecond).UTC().Format(time.RFC3339Nano) {
+		t.Errorf("EmitSince stamped ts=%s dur_ms=%g, want the second clock read and 3 ms", e.TS, e.DurMS)
+	}
+	if next := o.Now(); !next.Equal(start.Add(6 * time.Millisecond)) {
+		t.Errorf("EmitSince read the clock more than once: next read %v", next)
+	}
+
+	reads := 0
+	quiet := &Observer{Metrics: NewRegistry(), Clock: func() time.Time { reads++; return start }}
+	quiet.EmitSince(Event{Type: EvModelTrained}, start)
+	if reads != 0 {
+		t.Errorf("EmitSince without a sink read the clock %d times, want 0", reads)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/anno"
 	"repro/internal/evo"
@@ -227,7 +228,7 @@ func (p *Policy) SearchRound(numMeasure int) []measure.Result {
 	p.Obs.Emit(obs.Event{Type: obs.EvRoundStart, Task: p.Task.Name, Round: p.round,
 		Trials: p.Trials})
 	var init []*ir.State
-	p.phase("sketch", func() {
+	p.phase("sketch", func(time.Time) {
 		init = p.sampler.SamplePopulation(p.sketches, p.Opts.SampleInitSize)
 	})
 	for i, s := range p.bestStates {
@@ -254,19 +255,19 @@ func (p *Policy) SearchRound(numMeasure int) []measure.Result {
 			Seed:           p.rng.Int63(),
 			Workers:        p.Opts.Workers,
 		})
-		p.phase("evolve", func() {
+		p.phase("evolve", func(time.Time) {
 			candidates = search.Run(p.Task.DAG, init, sc, 4*numMeasure)
 		})
 	}
 	var batch []*ir.State
-	p.phase("score", func() { batch = p.pickBatch(sc, candidates, numMeasure) })
+	p.phase("score", func(time.Time) { batch = p.pickBatch(sc, candidates, numMeasure) })
 	// Task-attributed measurement: records land in the tuning log under
 	// this task's name, and a resume cache serves exactly the records
 	// this task wrote. Cache hits cost no measurer trial but still count
 	// against the policy-local budget, so a resumed search replays the
 	// original trial accounting bit for bit.
 	var results []measure.Result
-	p.phase("measure", func() {
+	p.phase("measure", func(time.Time) {
 		results = p.Measurer.MeasureTask(p.Task.Name, batch)
 	})
 	p.Trials += len(batch)
@@ -289,12 +290,13 @@ var PhaseNames = []string{"sketch", "evolve", "score", "measure", "train"}
 // Labels propagate to goroutines started inside fn, so the sharded
 // evolution's workers are attributed to their phase too. With an
 // observer attached the phase is also timed into its latency histogram
-// and narrated as a phase event; timing is narration only and never
-// feeds back into the search.
-func (p *Policy) phase(name string, fn func()) {
+// and narrated as a phase event; fn receives the phase's start time so
+// the events it emits can carry durations. Timing is narration only and
+// never feeds back into the search.
+func (p *Policy) phase(name string, fn func(start time.Time)) {
 	t0 := p.Obs.Now()
 	pprof.Do(context.Background(), pprof.Labels("phase", name), func(context.Context) {
-		fn()
+		fn(t0)
 	})
 	if p.Obs == nil {
 		return
@@ -461,7 +463,9 @@ func (p *Policy) retrain() {
 	p.phase("train", p.retrainModel)
 }
 
-func (p *Policy) retrainModel() {
+// retrainModel is the train phase begun at start; its model_trained
+// event carries the time from start to the trained model.
+func (p *Policy) retrainModel(start time.Time) {
 	minT := p.progTimes[0]
 	for _, t := range p.progTimes {
 		if t < minT {
@@ -483,8 +487,8 @@ func (p *Policy) retrainModel() {
 	}
 	p.lastFitMin = minT
 	p.fittedProgs = len(p.progFeats)
-	p.Obs.Emit(obs.Event{Type: obs.EvModelTrained, Task: p.Task.Name, Round: p.round,
-		Count: len(p.progFeats), Detail: mode})
+	p.Obs.EmitSince(obs.Event{Type: obs.EvModelTrained, Task: p.Task.Name, Round: p.round,
+		Count: len(p.progFeats), Detail: mode}, start)
 }
 
 // WarmRecord is one source-tagged, weighted record offered to a policy's

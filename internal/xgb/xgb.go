@@ -13,13 +13,28 @@
 // and Score/ScoreStmt/Trained read a snapshot. Split finding shards the
 // per-feature scan across a worker pool with a deterministic reduction,
 // so trained models are bit-identical for any worker count.
+//
+// Split search is exact greedy over presorted columns (Chen & Guestrin,
+// "XGBoost", KDD'16, §4.1). Each Fit or Boost call lays its rows out
+// column-major once and sorts each feature's row order once, by (value,
+// row index). Every tree node then scans its contiguous segment of
+// those orders and stable-partitions them into its children's, so no
+// node sorts. The row-index tie order fixes the order in which equal
+// feature values are accumulated, so the float sums, and with them the
+// chosen splits, are a pure function of the data. A feature that is
+// constant over the call's rows can never split, so it is neither
+// sorted nor scanned. When neither child of a split can split again
+// (both at MaxDepth, or both too small), only the row segment is
+// partitioned: leaves sum their rows and never scan a feature order.
 package xgb
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -88,15 +103,125 @@ func (t *tree) predict(x []float64) float64 {
 	}
 }
 
-// fitTree greedily builds one weighted least-squares regression tree over
-// the rows indexed by idx.
-func fitTree(x [][]float64, target, w []float64, idx []int, o Opts, rng *rand.Rand, pl *pool.Pool) *tree {
-	t := &tree{}
-	t.build(x, target, w, idx, 0, o, rng, pl)
-	return t
+// columns is one fit's presorted, column-major view of its training
+// rows (Chen & Guestrin, "XGBoost", KDD'16, §4.1). Each feature's values
+// are laid out contiguously once, and each feature that varies over the
+// rows gets its row order sorted once, by (value, row index). Trees then
+// never sort: a node owns the same contiguous segment [lo, hi) of every
+// order, scans it in sorted order, and stable-partitions it into its
+// children's segments, which therefore stay sorted by (value, row
+// index). A node's segment of the identity order holds its rows in
+// ascending index order, the order its leaf and parent sums run in.
+type columns struct {
+	// col[f][i] is feature f of row i. It is nil for a feature that is
+	// constant over the rows: such a feature can never split a node, so
+	// it is neither sorted nor scanned.
+	col [][]float64
+	// active lists the varying features in ascending order.
+	active []int
+	// root holds the root's segments, which span all rows: the identity
+	// order and every active feature's presorted order.
+	root level
+	// part[d%2] holds the segments of the nodes at depth d; each tree
+	// starts from a copy of root in part[0]. A node reads its segments
+	// from its own depth's level and writes its children's into the
+	// next, inside its own [lo, hi) only, so two buffers serve every
+	// tree of the fit.
+	part [2]level
+	// right is 1 for the rows of the node being split that go right,
+	// 0 for those that go left.
+	right []uint8
 }
 
-func weightedMean(target, w []float64, idx []int) float64 {
+// level is one depth's node segments: the rows in index order, and
+// order[a], the rows in active feature a's (value, row index) order.
+type level struct {
+	rows  []int32
+	order [][]int32
+}
+
+// presort lays out x column-major and sorts every varying feature once.
+func presort(x [][]float64, pl *pool.Pool) *columns {
+	n, nf := len(x), len(x[0])
+	c := &columns{col: make([][]float64, nf), right: make([]uint8, n)}
+	c.root.rows = make([]int32, n)
+	for i := range c.root.rows {
+		c.root.rows[i] = int32(i)
+	}
+	for f := 0; f < nf; f++ {
+		for _, r := range x[1:] {
+			if r[f] != x[0][f] {
+				c.active = append(c.active, f)
+				break
+			}
+		}
+	}
+	c.root.order = make([][]int32, len(c.active))
+	pl.Map(len(c.active), func(a int) {
+		f := c.active[a]
+		v := make([]float64, n)
+		for i, r := range x {
+			v[i] = r[f]
+		}
+		ord := slices.Clone(c.root.rows)
+		slices.SortFunc(ord, func(i, j int32) int {
+			if d := cmp.Compare(v[i], v[j]); d != 0 {
+				return d
+			}
+			return cmp.Compare(i, j)
+		})
+		c.col[f], c.root.order[a] = v, ord
+	})
+	for p := range c.part {
+		c.part[p] = level{rows: make([]int32, n), order: make([][]int32, len(c.active))}
+		for a := range c.active {
+			c.part[p].order[a] = make([]int32, n)
+		}
+	}
+	return c
+}
+
+// parallelScanMin is the node size below which the per-feature split scan
+// and partition stay serial: tiny nodes would pay more in goroutine
+// handoff than the work costs. The threshold depends only on the data,
+// never on the worker count, so trees are identical either way.
+const parallelScanMin = 512
+
+// split is one feature's best split candidate.
+type split struct {
+	gain float64
+	thr  float64
+	ok   bool
+}
+
+// grower builds one weighted least-squares regression tree over the
+// rows of a presorted fit.
+type grower struct {
+	*columns
+	target, w []float64
+	o         Opts
+	rng       *rand.Rand
+	pl        *pool.Pool
+	t         *tree
+	// Per-node scratch, reused down the tree: a node consumes both
+	// before it recurses.
+	mask   []bool
+	splits []split
+}
+
+// grow greedily builds one tree over all the rows of c.
+func (c *columns) grow(target, w []float64, o Opts, rng *rand.Rand, pl *pool.Pool) *tree {
+	g := &grower{columns: c, target: target, w: w, o: o, rng: rng, pl: pl, t: &tree{},
+		mask: make([]bool, len(c.col)), splits: make([]split, len(c.col))}
+	copy(c.part[0].rows, c.root.rows)
+	for a, ord := range c.root.order {
+		copy(c.part[0].order[a], ord)
+	}
+	g.build(0, len(c.right), 0)
+	return g.t
+}
+
+func weightedMean(target, w []float64, idx []int32) float64 {
 	var sw, swy float64
 	for _, i := range idx {
 		sw += w[i]
@@ -108,27 +233,30 @@ func weightedMean(target, w []float64, idx []int) float64 {
 	return swy / sw
 }
 
-// parallelScanMin is the node size below which the per-feature split scan
-// stays serial: tiny nodes would pay more in goroutine handoff than the
-// scan costs. The threshold depends only on the data, never on the worker
-// count, so trees are identical either way.
-const parallelScanMin = 512
-
-// split is one feature's best split candidate.
-type split struct {
-	gain float64
-	thr  float64
-	ok   bool
+// each runs fn for every active feature: over the pool for large nodes,
+// serially for small ones.
+func (g *grower) each(size int, fn func(a int)) {
+	if size >= parallelScanMin {
+		g.pl.Map(len(g.active), fn)
+		return
+	}
+	for a := range g.active {
+		fn(a)
+	}
 }
 
-func (t *tree) build(x [][]float64, target, w []float64, idx []int, depth int, o Opts, rng *rand.Rand, pl *pool.Pool) int {
-	self := len(t.nodes)
-	t.nodes = append(t.nodes, node{})
+// build grows the node at depth that owns segment [lo, hi) of its
+// level and returns the node's index in the tree.
+func (g *grower) build(lo, hi, depth int) int {
+	o, target, w := g.o, g.target, g.w
+	self := len(g.t.nodes)
+	g.t.nodes = append(g.t.nodes, node{})
+	seg := g.part[depth%2]
+	idx := seg.rows[lo:hi]
 	if depth >= o.MaxDepth || len(idx) < 2*o.MinSamples {
-		t.nodes[self] = node{leaf: true, value: weightedMean(target, w, idx)}
+		g.t.nodes[self] = node{leaf: true, value: weightedMean(target, w, idx)}
 		return self
 	}
-	nf := len(x[0])
 	// Parent weighted SSE baseline terms.
 	var sw, swy, swyy float64
 	for _, i := range idx {
@@ -137,24 +265,25 @@ func (t *tree) build(x [][]float64, target, w []float64, idx []int, depth int, o
 		swyy += w[i] * target[i] * target[i]
 	}
 	if sw == 0 {
-		t.nodes[self] = node{leaf: true, value: 0}
+		g.t.nodes[self] = node{leaf: true, value: 0}
 		return self
 	}
 	parentSSE := swyy - swy*swy/sw
-	// The subsample mask is drawn serially so the RNG stream is identical
-	// to a fully serial scan; the scan itself is embarrassingly parallel
-	// per feature.
-	mask := make([]bool, nf)
-	for f := 0; f < nf; f++ {
-		mask[f] = !(o.FeatureSubsample < 1 && rng.Float64() > o.FeatureSubsample)
+	// The subsample mask is drawn serially, for every feature, so the RNG
+	// stream is identical to a fully serial scan; the scan itself is
+	// embarrassingly parallel per feature.
+	mask := g.mask
+	for f := range mask {
+		mask[f] = !(o.FeatureSubsample < 1 && g.rng.Float64() > o.FeatureSubsample)
 	}
-	splits := make([]split, nf)
-	scan := func(f int, order []int) {
+	splits := g.splits
+	clear(splits)
+	g.each(len(idx), func(a int) {
+		f := g.active[a]
 		if !mask[f] {
 			return
 		}
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return x[order[a]][f] < x[order[b]][f] })
+		order, x := seg.order[a][lo:hi], g.col[f]
 		var lw, lwy, lwyy float64
 		best := split{}
 		for k := 0; k < len(order)-1; k++ {
@@ -162,7 +291,7 @@ func (t *tree) build(x [][]float64, target, w []float64, idx []int, depth int, o
 			lw += w[i]
 			lwy += w[i] * target[i]
 			lwyy += w[i] * target[i] * target[i]
-			if x[order[k]][f] == x[order[k+1]][f] {
+			if x[order[k]] == x[order[k+1]] {
 				continue
 			}
 			if k+1 < o.MinSamples || len(order)-k-1 < o.MinSamples {
@@ -178,29 +307,16 @@ func (t *tree) build(x [][]float64, target, w []float64, idx []int, depth int, o
 			rsse := rwyy - rwy*rwy/rw
 			gain := parentSSE - lsse - rsse
 			if gain > best.gain {
-				best = split{gain: gain, thr: (x[order[k]][f] + x[order[k+1]][f]) / 2, ok: true}
+				best = split{gain: gain, thr: (x[order[k]] + x[order[k+1]]) / 2, ok: true}
 			}
 		}
 		splits[f] = best
-	}
-	if len(idx) >= parallelScanMin {
-		pl.Map(nf, func(f int) {
-			if mask[f] {
-				scan(f, make([]int, len(idx)))
-			}
-		})
-	} else {
-		// Serial small-node path: one sort buffer serves every feature.
-		order := make([]int, len(idx))
-		for f := 0; f < nf; f++ {
-			scan(f, order)
-		}
-	}
+	})
 	// Deterministic reduction: strictly-greater gain in ascending feature
 	// order reproduces the serial scan's lowest-feature tie-breaking.
 	bestGain := 0.0
 	bestF, bestThr := -1, 0.0
-	for f := 0; f < nf; f++ {
+	for f := range splits {
 		if splits[f].ok && splits[f].gain > bestGain {
 			bestGain = splits[f].gain
 			bestF = f
@@ -208,21 +324,49 @@ func (t *tree) build(x [][]float64, target, w []float64, idx []int, depth int, o
 		}
 	}
 	if bestF < 0 {
-		t.nodes[self] = node{leaf: true, value: weightedMean(target, w, idx)}
+		g.t.nodes[self] = node{leaf: true, value: weightedMean(target, w, idx)}
 		return self
 	}
-	var li, ri []int
+	x, nl := g.col[bestF], 0
 	for _, i := range idx {
-		if x[i][bestF] <= bestThr {
-			li = append(li, i)
-		} else {
-			ri = append(ri, i)
+		g.right[i] = 1
+		if x[i] <= bestThr {
+			g.right[i] = 0
+			nl++
 		}
 	}
-	l := t.build(x, target, w, li, depth+1, o, rng, pl)
-	r := t.build(x, target, w, ri, depth+1, o, rng, pl)
-	t.nodes[self] = node{feature: bestF, threshold: bestThr, left: l, right: r}
+	next := g.part[(depth+1)%2]
+	g.partition(idx, next.rows[lo:hi], nl)
+	// Children that are leaves only sum their rows: when neither child
+	// can split (both at MaxDepth, or both too small), the feature
+	// orders are not partitioned at all.
+	if depth+1 < o.MaxDepth && max(nl, len(idx)-nl) >= 2*o.MinSamples {
+		g.each(len(idx), func(a int) {
+			g.partition(seg.order[a][lo:hi], next.order[a][lo:hi], nl)
+		})
+	}
+	l := g.build(lo, lo+nl, depth+1)
+	r := g.build(lo+nl, hi, depth+1)
+	g.t.nodes[self] = node{feature: bestF, threshold: bestThr, left: l, right: r}
 	return self
+}
+
+// partition stably splits the node segment src into dst: its nl rows
+// flagged left first, then the rest, each in src order. The loop is
+// branch-free, since the side of a row is unpredictable: every row is
+// written to both dst's left part and the front of src, which the node
+// no longer needs, and only the cursor of its side advances. The right
+// rows then move from src's front to dst's tail.
+func (g *grower) partition(src, dst []int32, nl int) {
+	li, ri := 0, 0
+	for _, i := range src {
+		r := int(g.right[i])
+		dst[li] = i
+		src[ri] = i
+		li += 1 - r
+		ri += r
+	}
+	copy(dst[nl:], src[:ri])
 }
 
 // ensemble is one immutable trained model snapshot: the tree form used
@@ -297,55 +441,8 @@ func (c *CostModel) Fit(progs [][][]float64, y []float64) {
 // natively. Weights scale gradients only — tree structure, determinism
 // and the atomic swap are unchanged.
 func (c *CostModel) FitWeighted(progs [][][]float64, y, progWeight []float64) {
-	if len(progs) == 0 {
-		c.swap(nil)
-		return
-	}
-	var rows [][]float64
-	var rowProg []int
-	nStmts := make([]float64, len(progs))
-	for p, stmts := range progs {
-		nStmts[p] = float64(len(stmts))
-		for _, s := range stmts {
-			rows = append(rows, s)
-			rowProg = append(rowProg, p)
-		}
-	}
-	if len(rows) == 0 {
-		c.swap(nil)
-		return
-	}
-	pl := pool.New(c.Opts.Workers)
-	pred := make([]float64, len(rows))
-	target := make([]float64, len(rows))
-	weight := make([]float64, len(rows))
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
 	rng := rand.New(rand.NewSource(c.Opts.Seed))
-	const minWeight = 0.05
-	var trees []*tree
-	for round := 0; round < c.Opts.NumTrees; round++ {
-		progPred := make([]float64, len(progs))
-		for i, p := range rowProg {
-			progPred[p] += pred[i]
-		}
-		for i, p := range rowProg {
-			r := y[p] - progPred[p]
-			target[i] = r / nStmts[p]
-			weight[i] = math.Max(y[p], minWeight)
-			if progWeight != nil {
-				weight[i] *= progWeight[p]
-			}
-		}
-		t := fitTree(rows, target, weight, idx, c.Opts, rng, pl)
-		for i := range rows {
-			pred[i] += c.Opts.LearningRate * t.predict(rows[i])
-		}
-		trees = append(trees, t)
-	}
-	c.swap(trees)
+	c.swap(c.residualTrees(progs, y, progWeight, 0, nil, c.Opts.NumTrees, rng))
 }
 
 // Boost is BoostWeighted with unit confidence weights.
@@ -370,12 +467,8 @@ func (c *CostModel) Boost(progs [][][]float64, y []float64, newStart int) {
 // any run issuing the same Fit/Boost call sequence over the same data
 // reproduces the exact same ensemble at any worker count.
 func (c *CostModel) BoostWeighted(progs [][][]float64, y, progWeight []float64, newStart int) {
-	prevEns := c.snapshot()
-	var prev []*tree
-	if prevEns != nil {
-		prev = prevEns.trees
-	}
-	if len(prev) == 0 || newStart <= 0 {
+	prev := c.snapshot()
+	if prev == nil || newStart <= 0 {
 		c.FitWeighted(progs, y, progWeight)
 		return
 	}
@@ -386,10 +479,36 @@ func (c *CostModel) BoostWeighted(progs [][][]float64, y, progWeight []float64, 
 	if boostTrees <= 0 {
 		boostTrees = 10
 	}
+	// Decorrelate the residual trees' feature subsample from the full
+	// fit's: the stream is a pure function of (Seed, ensemble size), so
+	// identical call sequences reproduce identical models.
+	rng := rand.New(rand.NewSource(c.Opts.Seed ^ int64(uint64(len(prev.trees)+1)*0x9e3779b97f4a7c15)))
+	if trees := c.residualTrees(progs, y, progWeight, newStart, prev.flat, boostTrees, rng); trees != nil {
+		c.swap(slices.Concat(prev.trees, trees))
+	}
+}
+
+// newTreeBuilder prepares the tree builder of one fit over its rows.
+// It is a variable only so the tests can swap in a per-node-sort
+// reference and pin the presorted builder bit for bit to it.
+var newTreeBuilder = func(x [][]float64, pl *pool.Pool) treeBuilder { return presort(x, pl) }
+
+// treeBuilder grows the trees of one fit: every tree covers all of the
+// fit's rows, with per-tree targets and weights.
+type treeBuilder interface {
+	grow(target, w []float64, o Opts, rng *rand.Rand, pl *pool.Pool) *tree
+}
+
+// residualTrees runs rounds steps of the boosting recurrence over the
+// statements of progs[from:] and returns the new trees (nil when those
+// programs have no statements). Each tree fits the residual of base
+// (nil = predict 0) plus the trees before it under the sum-over-
+// statements loss; labels and weights are indexed over all of progs.
+func (c *CostModel) residualTrees(progs [][][]float64, y, progWeight []float64, from int, base *flatEnsemble, rounds int, rng *rand.Rand) []*tree {
 	var rows [][]float64
-	var rowProg []int // indexes into progs, only >= newStart
-	nStmts := map[int]float64{}
-	for p := newStart; p < len(progs); p++ {
+	var rowProg []int // program of each row
+	nStmts := make([]float64, len(progs))
+	for p := from; p < len(progs); p++ {
 		nStmts[p] = float64(len(progs[p]))
 		for _, s := range progs[p] {
 			rows = append(rows, s)
@@ -397,31 +516,26 @@ func (c *CostModel) BoostWeighted(progs [][][]float64, y, progWeight []float64, 
 		}
 	}
 	if len(rows) == 0 {
-		return
+		return nil
 	}
 	pl := pool.New(c.Opts.Workers)
-	// Seed the per-row predictions with the existing ensemble (via the
+	// Seed the per-row predictions with the base ensemble (via the
 	// flattened slab — same per-tree accumulation order as the pointer
-	// walk), then run the standard boosting recurrence over the new rows
-	// only.
+	// walk).
 	pred := make([]float64, len(rows))
-	pl.Map(len(rows), func(i int) {
-		pred[i] = prevEns.flat.scoreStmt(rows[i])
-	})
+	if base != nil {
+		pl.Map(len(rows), func(i int) {
+			pred[i] = base.scoreStmt(rows[i])
+		})
+	}
 	target := make([]float64, len(rows))
 	weight := make([]float64, len(rows))
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Decorrelate the residual trees' feature subsample from the full
-	// fit's: the stream is a pure function of (Seed, ensemble size), so
-	// identical call sequences reproduce identical models.
-	rng := rand.New(rand.NewSource(c.Opts.Seed ^ int64(uint64(len(prev)+1)*0x9e3779b97f4a7c15)))
+	progPred := make([]float64, len(progs))
+	builder := newTreeBuilder(rows, pl)
 	const minWeight = 0.05
-	boosted := append(make([]*tree, 0, len(prev)+boostTrees), prev...)
-	for round := 0; round < boostTrees; round++ {
-		progPred := map[int]float64{}
+	trees := make([]*tree, 0, rounds)
+	for round := 0; round < rounds; round++ {
+		clear(progPred)
 		for i, p := range rowProg {
 			progPred[p] += pred[i]
 		}
@@ -433,13 +547,13 @@ func (c *CostModel) BoostWeighted(progs [][][]float64, y, progWeight []float64, 
 				weight[i] *= progWeight[p]
 			}
 		}
-		t := fitTree(rows, target, weight, idx, c.Opts, rng, pl)
+		t := builder.grow(target, weight, c.Opts, rng, pl)
 		for i := range rows {
 			pred[i] += c.Opts.LearningRate * t.predict(rows[i])
 		}
-		boosted = append(boosted, t)
+		trees = append(trees, t)
 	}
-	c.swap(boosted)
+	return trees
 }
 
 // NumTrees returns the current ensemble size (0 when untrained). Policy

@@ -294,27 +294,40 @@ func TestBoostFallsBackToFullFit(t *testing.T) {
 
 // BenchmarkFitVsBoost times one round of model updating at a realistic
 // accumulated-data size: a full refit over all rows vs boosting the
-// previous ensemble with the newest batch only. CI turns this into the
+// previous ensemble with the newest batch only. It runs on two inputs:
+// 10 continuous features without ties (mode=fit, mode=boost), and
+// feature rows shaped like real ones (mode=fit,data=tied and
+// mode=boost,data=tied): 153 quantized, sparse, tie-heavy features
+// (feat.Dim) and 1–6 statements per program. CI turns this into the
 // BENCH_pr6.json training rows.
 func BenchmarkFitVsBoost(b *testing.B) {
 	progs, y := synth(1024, 13)
-	newStart := len(progs) - 64 // one measurement batch of new rows
-	b.Run("mode=fit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := NewCostModel(DefaultOpts())
-			m.Fit(progs[:newStart], y[:newStart])
-			b.StartTimer()
-			m.Fit(progs, y)
-			b.StopTimer()
-		}
-	})
-	b.Run("mode=boost", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := NewCostModel(DefaultOpts())
-			m.Fit(progs[:newStart], y[:newStart])
-			b.StartTimer()
-			m.Boost(progs, y, newStart)
-			b.StopTimer()
-		}
-	})
+	tied, tiedY, _ := tieHeavyTraining(rand.New(rand.NewSource(13)), 1024, 153)
+	for _, in := range []struct {
+		suffix string
+		progs  [][][]float64
+		y      []float64
+	}{{"", progs, y}, {",data=tied", tied, tiedY}} {
+		newStart := len(in.progs) - 64 // one measurement batch of new rows
+		b.Run("mode=fit"+in.suffix, func(b *testing.B) {
+			b.StopTimer() // time only the update, not the set-up fit
+			for i := 0; i < b.N; i++ {
+				m := NewCostModel(DefaultOpts())
+				m.Fit(in.progs[:newStart], in.y[:newStart])
+				b.StartTimer()
+				m.Fit(in.progs, in.y)
+				b.StopTimer()
+			}
+		})
+		b.Run("mode=boost"+in.suffix, func(b *testing.B) {
+			b.StopTimer() // time only the update, not the set-up fit
+			for i := 0; i < b.N; i++ {
+				m := NewCostModel(DefaultOpts())
+				m.Fit(in.progs[:newStart], in.y[:newStart])
+				b.StartTimer()
+				m.Boost(in.progs, in.y, newStart)
+				b.StopTimer()
+			}
+		})
+	}
 }
