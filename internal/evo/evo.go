@@ -5,12 +5,18 @@
 // mutation, annotation mutation, compute-location mutation — and a
 // node-based crossover that merges the per-node steps of two parents.
 // Every offspring is verified by replaying its step list; invalid
-// offspring are discarded.
+// offspring are discarded. An operator that leaves the steps unchanged (a
+// value rewritten to itself, a crossover taking nothing from the second
+// parent) yields the parent itself: it was replayed already, and a replay
+// of the same steps would rebuild the same program.
 //
 // Scoring and offspring generation are sharded across a worker pool.
 // Determinism is independent of the worker count: every offspring attempt
 // owns a private RNG derived from (Seed, generation, attempt index), so
-// no goroutine ever reads a shared random stream (see DESIGN.md).
+// no goroutine ever reads a shared random stream (see DESIGN.md). The
+// attempt RNG is a lazily seeded source that yields exactly the
+// rand.NewSource stream for its seed, without paying math/rand's
+// 607-word seeding for an attempt that draws only a few numbers.
 package evo
 
 import (
@@ -153,8 +159,9 @@ func (e *Search) Run(dag *te.DAG, init []*ir.State, scorer Scorer, out int) []*i
 			children := make([]*ir.State, wave)
 			base := attempt
 			e.pool.Map(wave, func(k int) {
-				rng := rand.New(rand.NewSource(attemptSeed(e.Cfg.Seed, gen, base+k)))
-				children[k] = e.offspring(dag, pop, sel, scorer, rng)
+				rng := takeRNG(attemptSeed(e.Cfg.Seed, gen, base+k))
+				children[k] = e.offspring(dag, pop, sel, scorer, rng.Rand)
+				attemptRNGs.Put(rng)
 			})
 			attempt += wave
 			for _, c := range children {
@@ -343,26 +350,32 @@ func (r *roulette) pick(rng *rand.Rand) int {
 }
 
 // mutate applies one randomly chosen evolution operation to a copy of the
-// parent's steps and replays; nil on invalid offspring.
+// parent's steps and replays; nil on invalid offspring. Each operator
+// reports whether it applied at all (ok) and whether it changed a value;
+// an unchanged copy is the parent itself and skips the replay.
 func (e *Search) mutate(dag *te.DAG, parent *ir.State, rng *rand.Rand) *ir.State {
 	holder := takeSteps()
 	steps := cloneStepsInto((*holder)[:0], parent.Steps)
-	ok := false
+	ok, changed := false, false
 	switch rng.Intn(5) {
 	case 0:
-		ok = mutateTileSize(steps, rng)
+		ok, changed = mutateTileSize(steps, rng)
 	case 1:
-		ok = mutateAnnotation(steps, rng)
+		ok, changed = mutateAnnotation(steps, rng)
 	case 2:
-		ok = mutateParallelGranularity(steps, rng)
+		ok, changed = mutateParallelGranularity(steps, rng)
 	case 3:
-		ok = mutateComputeLocation(steps, rng)
+		ok, changed = mutateComputeLocation(steps, rng)
 	case 4:
-		ok = mutatePragma(steps, rng)
+		ok, changed = mutatePragma(steps, rng)
 	}
 	if !ok {
 		putSteps(holder, steps)
 		return nil
+	}
+	if !changed {
+		putSteps(holder, steps)
+		return unchanged(parent)
 	}
 	s, err := ir.Replay(dag, steps)
 	putSteps(holder, steps)
@@ -370,6 +383,17 @@ func (e *Search) mutate(dag *te.DAG, parent *ir.State, rng *rand.Rand) *ir.State
 		return nil
 	}
 	return s
+}
+
+// unchanged is the child of an operator that left the parent's steps as
+// they were. Replaying those steps would rebuild the parent's program, so
+// the parent is the child, subject to the offspring validity check:
+// initial states join the population without having passed it.
+func unchanged(parent *ir.State) *ir.State {
+	if !parent.Complete() || parent.Validate() != nil {
+		return nil
+	}
+	return parent
 }
 
 // stepsScratch recycles the step-list buffers that offspring attempts
@@ -400,7 +424,7 @@ func cloneStepsInto(dst []ir.Step, steps []ir.Step) []ir.Step {
 // mutateTileSize implements the paper's tile size mutation: divide one
 // tile level by a factor and multiply another level of the same axis by
 // the same factor, keeping the product equal to the loop length.
-func mutateTileSize(steps []ir.Step, rng *rand.Rand) bool {
+func mutateTileSize(steps []ir.Step, rng *rand.Rand) (ok, changed bool) {
 	var tiles []*ir.MultiLevelTileStep
 	var rfs []*ir.RFactorStep
 	for _, s := range steps {
@@ -414,17 +438,18 @@ func mutateTileSize(steps []ir.Step, rng *rand.Rand) bool {
 		}
 	}
 	if len(tiles) == 0 && len(rfs) == 0 {
-		return false
+		return false, false
 	}
 	if len(rfs) > 0 && (len(tiles) == 0 || rng.Float64() < 0.2) {
 		// Mutate an rfactor split factor.
 		rf := rfs[rng.Intn(len(rfs))]
+		old := rf.Factor
 		if rng.Intn(2) == 0 {
 			rf.Factor *= 2
 		} else if rf.Factor%2 == 0 {
 			rf.Factor /= 2
 		}
-		return rf.Factor >= 2
+		return rf.Factor >= 2, rf.Factor != old
 	}
 	t := tiles[rng.Intn(len(tiles))]
 	all := [][][]int{t.SpaceFactors, t.ReduceFactors}
@@ -433,11 +458,11 @@ func mutateTileSize(steps []ir.Step, rng *rand.Rand) bool {
 		group = t.SpaceFactors
 	}
 	if len(group) == 0 {
-		return false
+		return false, false
 	}
 	fs := group[rng.Intn(len(group))]
 	if len(fs) == 0 {
-		return false
+		return false, false
 	}
 	// Pick a source level with a factor > 1 and move a divisor of it to
 	// another level (or to the derived outer level by just dividing).
@@ -451,7 +476,7 @@ func mutateTileSize(steps []ir.Step, rng *rand.Rand) bool {
 		// All inner levels are 1: steal from the derived outer level by
 		// multiplying one inner level (replay checks divisibility).
 		fs[rng.Intn(len(fs))] *= []int{2, 3, 4}[rng.Intn(3)]
-		return true
+		return true, true
 	}
 	src := srcCandidates[rng.Intn(len(srcCandidates))]
 	ds := anno.Divisors(fs[src])
@@ -460,12 +485,13 @@ func mutateTileSize(steps []ir.Step, rng *rand.Rand) bool {
 	if rng.Intn(len(fs)+1) > 0 { // sometimes move to outer (derived)
 		dst := rng.Intn(len(fs))
 		fs[dst] *= f
+		return true, dst != src // moving back to the source is a no-op
 	}
-	return true
+	return true, true
 }
 
 // mutateAnnotation rewrites one annotation step's kind.
-func mutateAnnotation(steps []ir.Step, rng *rand.Rand) bool {
+func mutateAnnotation(steps []ir.Step, rng *rand.Rand) (ok, changed bool) {
 	var anns []*ir.AnnotateStep
 	for _, s := range steps {
 		if a, ok := s.(*ir.AnnotateStep); ok {
@@ -473,32 +499,36 @@ func mutateAnnotation(steps []ir.Step, rng *rand.Rand) bool {
 		}
 	}
 	if len(anns) == 0 {
-		return false
+		return false, false
 	}
 	a := anns[rng.Intn(len(anns))]
 	choices := []ir.Annotation{ir.AnnNone, ir.AnnVectorize, ir.AnnUnroll, ir.AnnParallel}
+	old := a.Ann
 	a.Ann = choices[rng.Intn(len(choices))]
-	return true
+	return true, a.Ann != old
 }
 
 // mutateParallelGranularity changes how many outer loops are fused for
 // the parallel annotation (the paper's parallel granularity mutation).
-func mutateParallelGranularity(steps []ir.Step, rng *rand.Rand) bool {
+func mutateParallelGranularity(steps []ir.Step, rng *rand.Rand) (ok, changed bool) {
 	for _, s := range steps {
 		if f, ok := s.(*ir.FuseStep); ok && f.First == 0 {
 			if rng.Intn(2) == 0 {
 				f.Count++
-			} else if f.Count > 2 {
-				f.Count--
+				return true, true
 			}
-			return true
+			if f.Count > 2 {
+				f.Count--
+				return true, true
+			}
+			return true, false
 		}
 	}
-	return false
+	return false, false
 }
 
 // mutateComputeLocation moves the fusion point of a fused consumer.
-func mutateComputeLocation(steps []ir.Step, rng *rand.Rand) bool {
+func mutateComputeLocation(steps []ir.Step, rng *rand.Rand) (ok, changed bool) {
 	var fcs []*ir.FuseConsumerStep
 	for _, s := range steps {
 		if f, ok := s.(*ir.FuseConsumerStep); ok {
@@ -506,7 +536,7 @@ func mutateComputeLocation(steps []ir.Step, rng *rand.Rand) bool {
 		}
 	}
 	if len(fcs) == 0 {
-		return false
+		return false, false
 	}
 	f := fcs[rng.Intn(len(fcs))]
 	if rng.Intn(2) == 0 && f.OuterLevels > 1 {
@@ -514,26 +544,45 @@ func mutateComputeLocation(steps []ir.Step, rng *rand.Rand) bool {
 	} else {
 		f.OuterLevels++
 	}
-	return true
+	return true, true
 }
 
 // mutatePragma rewrites an auto_unroll_max_step pragma.
-func mutatePragma(steps []ir.Step, rng *rand.Rand) bool {
+func mutatePragma(steps []ir.Step, rng *rand.Rand) (ok, changed bool) {
 	candidates := []int{0, 16, 64, 512}
 	for _, s := range steps {
 		if p, ok := s.(*ir.PragmaStep); ok {
+			old := p.AutoUnrollMax
 			p.AutoUnrollMax = candidates[rng.Intn(len(candidates))]
-			return true
+			return true, p.AutoUnrollMax != old
 		}
 	}
-	return false
+	return false, false
 }
 
 // crossover merges two parents at node granularity (§5.1): for every node
 // tag, the steps of the parent whose node scores higher are kept. Parent
 // A's step sequence is the template; steps of tags donated by B are
-// substituted positionally with B's same-type steps of that tag.
+// substituted positionally with B's same-type steps of that tag. A child
+// that takes no step from B is parent A.
 func (e *Search) crossover(dag *te.DAG, a, b *ir.State, scorer Scorer, rng *rand.Rand) *ir.State {
+	holder := takeSteps()
+	steps, fromB := crossSteps((*holder)[:0], a, b, scorer, rng)
+	if !fromB {
+		putSteps(holder, steps)
+		return unchanged(a)
+	}
+	child, err := ir.Replay(dag, steps)
+	putSteps(holder, steps)
+	if err != nil || !child.Complete() || child.Validate() != nil {
+		return nil
+	}
+	return child
+}
+
+// crossSteps appends the crossover child's steps (cloned) to dst and
+// reports whether any of them came from b.
+func crossSteps(dst []ir.Step, a, b *ir.State, scorer Scorer, rng *rand.Rand) ([]ir.Step, bool) {
 	scoreA := scorer.NodeScores(a)
 	scoreB := scorer.NodeScores(b)
 	donorB := map[string]bool{}
@@ -565,24 +614,19 @@ func (e *Search) crossover(dag *te.DAG, a, b *ir.State, scorer Scorer, rng *rand
 		bSteps[k] = append(bSteps[k], s)
 	}
 	taken := map[key]int{}
-	holder := takeSteps()
-	steps := (*holder)[:0]
+	fromB := false
 	for _, s := range a.Steps {
 		tag := ir.BaseStage(s.StageName())
 		if donorB[tag] {
 			k := key{tag, s.Name()}
 			if i := taken[k]; i < len(bSteps[k]) {
 				taken[k] = i + 1
-				steps = append(steps, bSteps[k][i].Clone())
+				dst = append(dst, bSteps[k][i].Clone())
+				fromB = true
 				continue
 			}
 		}
-		steps = append(steps, s.Clone())
+		dst = append(dst, s.Clone())
 	}
-	child, err := ir.Replay(dag, steps)
-	putSteps(holder, steps)
-	if err != nil || !child.Complete() || child.Validate() != nil {
-		return nil
-	}
-	return child
+	return dst, fromB
 }

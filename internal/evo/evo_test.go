@@ -118,7 +118,7 @@ func TestTileSizeMutationKeepsProduct(t *testing.T) {
 	hits := 0
 	for i := 0; i < 200; i++ {
 		steps := cloneStepsInto(nil, pop[i%len(pop)].Steps)
-		if !mutateTileSize(steps, rng) {
+		if ok, _ := mutateTileSize(steps, rng); !ok {
 			continue
 		}
 		s, err := ir.Replay(d, steps)

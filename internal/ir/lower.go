@@ -185,8 +185,8 @@ func (lw *lowerer) fullAccessMatrix(parent, child *Stage) ([][]int, error) {
 	if acc == nil {
 		return nil, fmt.Errorf("ir: attach target %q does not read %q", parent.Name, child.Name)
 	}
-	nChild := len(child.Node.Axes())
-	nParent := len(parent.Node.Axes())
+	nChild := child.Node.NumAxes()
+	nParent := parent.Node.NumAxes()
 	nSpace := len(child.Node.SpaceAxes)
 	m := make([][]int, nChild)
 	for i := range m {
@@ -294,7 +294,7 @@ func composeAccess(inner te.Access, via te.Access) te.Access {
 
 // flatten computes the per-loop stride coefficients of one access.
 func (lw *lowerer) flatten(st *Stage, acc te.Access, loops []*LLoop, chains map[*Stage][][]int) (*FlatAccess, error) {
-	nAxes := len(st.Node.Axes())
+	nAxes := st.Node.NumAxes()
 	fa := &FlatAccess{Tensor: acc.Tensor, Coeff: make([][]int, len(acc.Index))}
 	for d := range acc.Index {
 		fa.Coeff[d] = make([]int, len(loops))

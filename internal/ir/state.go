@@ -122,10 +122,13 @@ func (st *Stage) clone() *Stage {
 	return &c
 }
 
-// axisExtent returns the full extent of axis a of the stage's node.
+// axisExtent returns the full extent of axis a of the stage's node
+// (indexed as in Node.Axes, space axes first).
 func (st *Stage) axisExtent(a int) int {
-	axes := st.Node.Axes()
-	return axes[a].Extent
+	if ns := len(st.Node.SpaceAxes); a >= ns {
+		return st.Node.ReduceAxes[a-ns].Extent
+	}
+	return st.Node.SpaceAxes[a].Extent
 }
 
 // strideOf returns the product of extents of all atoms of the given axis
@@ -384,30 +387,49 @@ func (s *State) Complete() bool {
 
 // Validate checks structural invariants of the state: per-stage, the
 // product of filled tile extents of each axis equals the axis extent;
-// attach targets exist and indices are in range.
+// attach targets exist and indices are in range. Axes are checked in
+// ascending order, so the first reported error is deterministic.
 func (s *State) Validate() error {
+	// Scratch sized per stage from its atoms; the arrays keep the common
+	// case off the heap, and larger stages simply grow the slices.
+	var prodBuf [16]int
+	var seenBuf [4]uint64
 	for _, st := range s.Stages {
 		if st.Inlined {
 			continue
 		}
-		// Each axis must be fully covered by its atoms.
-		prod := map[int]int{}
-		seen := map[[2]int]bool{}
-		for _, it := range s.iterList(st) {
+		nAxes, nLevels := 0, 0
+		for _, it := range st.Iters {
 			for _, at := range it.Atoms {
-				key := [2]int{at.Axis, at.Level}
-				if seen[key] {
+				nAxes = max(nAxes, at.Axis+1)
+				nLevels = max(nLevels, at.Level+1)
+			}
+		}
+		// prod[a] is the product of axis a's atom extents; seen holds one
+		// bit per (axis, level), row-major by axis.
+		prod := prodBuf[:0]
+		for a := 0; a < nAxes; a++ {
+			prod = append(prod, 1)
+		}
+		seen := seenBuf[:0]
+		for w := 0; w < (nAxes*nLevels+63)/64; w++ {
+			seen = append(seen, 0)
+		}
+		// Each axis must be fully covered by its atoms.
+		for _, it := range st.Iters {
+			for _, at := range it.Atoms {
+				bit := at.Axis*nLevels + at.Level
+				if seen[bit/64]&(1<<(bit%64)) != 0 {
 					return fmt.Errorf("stage %s: duplicate atom axis=%d level=%d", st.Name, at.Axis, at.Level)
 				}
-				seen[key] = true
-				if p, ok := prod[at.Axis]; ok {
-					prod[at.Axis] = mulExt(p, at.Extent)
-				} else {
-					prod[at.Axis] = at.Extent
-				}
+				seen[bit/64] |= 1 << (bit % 64)
+				prod[at.Axis] = mulExt(prod[at.Axis], at.Extent)
 			}
 		}
 		for a, p := range prod {
+			if !anyBit(seen, a*nLevels, (a+1)*nLevels) {
+				continue // no atom covers this axis
+			}
 			want := st.axisExtent(a)
 			if st.Attached {
 				// Attached stages have consumer-bounded extents;
@@ -435,8 +457,15 @@ func (s *State) Validate() error {
 	return nil
 }
 
-// iterList returns the stage's iters (helper to keep Validate readable).
-func (s *State) iterList(st *Stage) []*Iter { return st.Iters }
+// anyBit reports whether any of bits [lo, hi) of the bitset is set.
+func anyBit(set []uint64, lo, hi int) bool {
+	for b := lo; b < hi; b++ {
+		if set[b/64]&(1<<(b%64)) != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // Signature returns a short stable string identifying the program
 // structure, tile sizes, annotations, and constant-layout packing; used

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/te"
@@ -145,7 +146,7 @@ func (st *SplitStep) Apply(s *State) error {
 	var repl []*Iter
 	for i, e := range extents {
 		repl = append(repl, &Iter{
-			Name:   fmt.Sprintf("%s.%d", it.Name, i),
+			Name:   it.Name + "." + strconv.Itoa(i),
 			Extent: e,
 			Kind:   it.Kind,
 			Atoms:  []IterAtom{{Axis: atom.Axis, Level: atom.Level + i, Extent: e}},
@@ -463,7 +464,7 @@ func (st *MultiLevelTileStep) Apply(s *State) error {
 		if c == 'S' {
 			for i, a := range node.SpaceAxes {
 				iters = append(iters, &Iter{
-					Name:   fmt.Sprintf("%s.%d", a.Name, sLevel),
+					Name:   a.Name + "." + strconv.Itoa(sLevel),
 					Extent: spaceExt[i][sLevel],
 					Kind:   te.Space,
 					Atoms:  []IterAtom{{Axis: i, Level: sLevel, Extent: spaceExt[i][sLevel]}},
@@ -473,7 +474,7 @@ func (st *MultiLevelTileStep) Apply(s *State) error {
 		} else {
 			for i, a := range node.ReduceAxes {
 				iters = append(iters, &Iter{
-					Name:   fmt.Sprintf("%s.%d", a.Name, rLevel),
+					Name:   a.Name + "." + strconv.Itoa(rLevel),
 					Extent: reduceExt[i][rLevel],
 					Kind:   te.Reduce,
 					Atoms:  []IterAtom{{Axis: nS + i, Level: rLevel, Extent: reduceExt[i][rLevel]}},
@@ -577,7 +578,7 @@ func (st *FuseConsumerStep) Apply(s *State) error {
 	for l := 0; l < st.OuterLevels; l++ {
 		for a := 0; a < nS; a++ {
 			iters = append(iters, &Iter{
-				Name:   fmt.Sprintf("%s.%d", c.Node.SpaceAxes[a].Name, l),
+				Name:   c.Node.SpaceAxes[a].Name + "." + strconv.Itoa(l),
 				Extent: levels[a][l],
 				Kind:   te.Space,
 				Atoms:  []IterAtom{{Axis: a, Level: l, Extent: levels[a][l]}},
@@ -590,7 +591,7 @@ func (st *FuseConsumerStep) Apply(s *State) error {
 			inner = mulExt(inner, levels[a][l])
 		}
 		iters = append(iters, &Iter{
-			Name:   fmt.Sprintf("%s.in", c.Node.SpaceAxes[a].Name),
+			Name:   c.Node.SpaceAxes[a].Name + ".in",
 			Extent: inner,
 			Kind:   te.Space,
 			Atoms:  []IterAtom{{Axis: a, Level: st.OuterLevels, Extent: inner}},
@@ -840,7 +841,7 @@ func accessMatrix(s *State, consumer, producer *Stage) ([][]int, error) {
 	if acc == nil {
 		return nil, fmt.Errorf("stage %q does not read %q", consumer.Name, producer.Name)
 	}
-	nCA := len(consumer.Node.Axes())
+	nCA := consumer.Node.NumAxes()
 	m := make([][]int, len(acc.Index))
 	for pa := range acc.Index {
 		m[pa] = make([]int, nCA)
@@ -875,7 +876,7 @@ func (st *ComputeAtStep) Apply(s *State) error {
 	}
 	// Inner extent of each consumer axis: product of atoms in loops deeper
 	// than the attach point.
-	nCA := len(tgt.Node.Axes())
+	nCA := tgt.Node.NumAxes()
 	innerExt := make([]int, nCA)
 	for i := range innerExt {
 		innerExt[i] = 1

@@ -200,6 +200,9 @@ func (n *Node) Axes() []Axis {
 	return out
 }
 
+// NumAxes returns len(n.Axes()) without building the slice.
+func (n *Node) NumAxes() int { return len(n.SpaceAxes) + len(n.ReduceAxes) }
+
 // SpaceSize returns the product of the space axis extents.
 func (n *Node) SpaceSize() int64 {
 	p := int64(1)
